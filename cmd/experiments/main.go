@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -23,11 +24,15 @@ import (
 	"repro/internal/obs/tsdb"
 )
 
+// sections are the -only keys, in run order.
+var sections = []string{"fig3", "table3", "fig4", "fig5", "fig6", "mapreduce", "stability",
+	"forecast", "chaos", "tournament", "failover", "serve", "ablations"}
+
 func main() {
 	var (
 		seed        = flag.Int64("seed", 1, "experiment seed")
 		runs        = flag.Int("runs", 10, "repetitions per configuration (the paper uses 10)")
-		only        = flag.String("only", "", "comma-separated subset: fig3,table3,fig4,fig5,fig6,mapreduce,stability,forecast,chaos,tournament,failover,serve,ablations")
+		only        = flag.String("only", "", "comma-separated subset: "+strings.Join(sections, ","))
 		metrics     = flag.Bool("metrics", false, "print an aggregated metrics snapshot after the experiments")
 		metricsJSON = flag.Bool("metrics-json", false, "print the metrics snapshot as JSON instead of a table (implies -metrics)")
 		traceOn     = flag.Bool("trace", false, "record a flight-recorder event trace of run 0 of each sweep cell")
@@ -67,7 +72,12 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !slices.Contains(sections, k) {
+				fmt.Fprintf(os.Stderr, "experiments: unknown section %q in -only (valid: %s)\n", k, strings.Join(sections, ", "))
+				os.Exit(2)
+			}
+			want[k] = true
 		}
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }

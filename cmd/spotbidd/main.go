@@ -62,7 +62,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for the synthetic market feed")
 		days        = flag.Int("days", 70, "synthetic feed length in days (replayed cyclically)")
 		accel       = flag.Float64("accel", 1, "time compression: slots per 300 wall seconds")
-		warmup      = flag.Int("warmup", 288, "slots of history ingested before serving starts")
+		warmup      = flag.Int("warmup", 288, "minimum slots of history ingested before serving starts (warm-up runs on until every market has a quote table)")
 		tsdbOut     = flag.String("tsdb-out", "", "scrape metrics into a time-series store and dump it here on drain (.csv for CSV, anything else JSONL)")
 		scrapeEvery = flag.Int("scrape-every", 4, "tsdb scrape cadence in slots (with -tsdb-out)")
 	)
@@ -140,9 +140,13 @@ func run(addr, region, typeList string, seed int64, days int, accel float64, war
 	}
 
 	// Warm the window through history so the daemon is ready (fresh
-	// tables for every market) the moment it starts listening.
+	// tables for every market) the moment it starts listening: past
+	// -warmup slots, keep ingesting until the first table of every
+	// market is swapped in. Builds run every RebuildEvery slots once
+	// a window holds MinSamples, so the extension is at most one
+	// rebuild cadence past whichever of the two is later.
 	slot := 0
-	for ; slot < warmup; slot++ {
+	for ; slot < warmup || !tablesReady(srv); slot++ {
 		if err := ingest(slot); err != nil {
 			return err
 		}
@@ -237,6 +241,16 @@ func dumpTSDB(db *tsdb.DB, out string) error {
 		return db.WriteCSV(f)
 	}
 	return db.WriteJSONL(f)
+}
+
+// tablesReady reports whether every market holds a quote table.
+func tablesReady(srv *serve.Server) bool {
+	for _, key := range srv.Keys() {
+		if srv.Table(key) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // slotInterval converts the server's 300-second logical slot into the

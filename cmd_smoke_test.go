@@ -168,6 +168,23 @@ func TestExperimentsCLI(t *testing.T) {
 	if strings.Contains(out, "DIVERGED") {
 		t.Errorf("tournament replay diverged:\n%s", out)
 	}
+	// An unknown section is a usage error (exit 2) naming the valid
+	// sections, not a silent empty run.
+	cmd := exec.Command(bin, "-only", "tabel3")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("-only tabel3: err = %v, want exit status 2", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-only tabel3 printed to stdout:\n%s", stdout.String())
+	}
+	for _, want := range []string{`"tabel3"`, "table3", "fig5", "ablations"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("-only tabel3 stderr missing %q in:\n%s", want, stderr.String())
+		}
+	}
 }
 
 func TestSpotbiddCLI(t *testing.T) {
@@ -177,7 +194,8 @@ func TestSpotbiddCLI(t *testing.T) {
 	bin := buildCmd(t, "spotbidd")
 
 	// Port 0: the daemon reports the bound address on stderr.
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-accel", "300", "-days", "3", "-warmup", "300")
+	// Default warm-up: the daemon must be ready the moment it listens.
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-accel", "300", "-days", "3")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

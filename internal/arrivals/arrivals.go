@@ -81,9 +81,15 @@ func NewDiurnal(base Process, amplitude float64, period int) (*Diurnal, error) {
 
 // Next implements Process.
 func (p *Diurnal) Next(r *rand.Rand) float64 {
-	mod := 1 + p.Amplitude*math.Sin(2*math.Pi*float64(p.slot)/float64(p.Period))
+	mod := p.Factor(p.slot)
 	p.slot++
 	return p.Base.Next(r) * mod
+}
+
+// Factor is the modulation 1 + Amplitude·sin(2π·slot/Period) that Next
+// applies at a slot index.
+func (p *Diurnal) Factor(slot int) float64 {
+	return 1 + p.Amplitude*math.Sin(2*math.Pi*float64(slot)/float64(p.Period))
 }
 
 // MeanVar implements Process. The sinusoid averages out over a day,

@@ -462,6 +462,26 @@ type Report struct {
 	// (stale price estimates, retries, on-demand fallback). Zero on a
 	// fault-free substrate.
 	Telemetry Telemetry
+	// LeakedRequests lists spot requests still open or active when the
+	// run ended, and LeakedInstances on-demand instances still running.
+	// Both stay empty unless the price trace ran out before the job
+	// finished (a low one-time bid still waiting, or an instance
+	// mid-job): the simulation stops with the resources held. They
+	// mirror fleet.Report's fields of the same names, which the
+	// invariant audit excuses.
+	LeakedRequests  []string
+	LeakedInstances []string
+}
+
+// noteUnreleased records the tracker's resources on the report if the
+// run ended while they were still held.
+func (rep *Report) noteUnreleased(t *job.Tracker) {
+	if req := t.Request(); req != nil && (req.State == cloud.Open || req.State == cloud.Active) {
+		rep.LeakedRequests = append(rep.LeakedRequests, req.ID)
+	}
+	if inst := t.Instance(); inst != nil && inst.Running {
+		rep.LeakedInstances = append(rep.LeakedInstances, inst.ID)
+	}
 }
 
 // RunOneTime prices the job with Prop. 4 and runs it on a one-time
@@ -510,6 +530,7 @@ func (c *Client) RunOnDemand(spec job.Spec) (Report, error) {
 			Region: c.Region.ID(), Job: spec.ID, Subject: "on-demand", Value: out.Cost})
 	}
 	rep := Report{Strategy: "on-demand", Outcome: out}
+	rep.noteUnreleased(tracker)
 	c.attachMetrics(&rep)
 	return rep, nil
 }
@@ -589,6 +610,7 @@ func (c *Client) runSpot(strategy string, spec job.Spec, analytic core.Bid, kind
 			Region: c.Region.ID(), Job: spec.ID, Subject: strategy, Value: out.Cost})
 	}
 	rep := Report{Strategy: strategy, BidPrice: analytic.Price, Analytic: analytic, Outcome: out, Telemetry: tel}
+	rep.noteUnreleased(tracker)
 	c.attachMetrics(&rep)
 	return rep, nil
 }

@@ -248,3 +248,46 @@ func TestPlanAndRunMapReduce(t *testing.T) {
 		t.Error("0 workers accepted")
 	}
 }
+
+// TestReportLeaksAtTraceEnd: a run the trace cuts short still holds its
+// resources, and the report says which; a run that finishes holds
+// none.
+func TestReportLeaksAtTraceEnd(t *testing.T) {
+	nearEnd := func() *Client {
+		c, err := New(testRegion(t, 17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Skip(c.Region.Horizon() - 6); err != nil { // half an hour left
+			t.Fatal(err)
+		}
+		return c
+	}
+	// A bid far below the floor waits, open, until the trace ends.
+	rep, err := nearEnd().RunFixedBid("lowball", oneHour, 0.001, cloud.OneTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome.Completed || len(rep.LeakedRequests) != 1 || len(rep.LeakedInstances) != 0 {
+		t.Errorf("open request at trace end: completed %v, leaked requests %v, instances %v",
+			rep.Outcome.Completed, rep.LeakedRequests, rep.LeakedInstances)
+	}
+	// An on-demand hour started half an hour before the end is still
+	// running when it comes.
+	rep, err = nearEnd().RunOnDemand(oneHour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome.Completed || len(rep.LeakedRequests) != 0 || len(rep.LeakedInstances) != 1 {
+		t.Errorf("running instance at trace end: completed %v, leaked requests %v, instances %v",
+			rep.Outcome.Completed, rep.LeakedRequests, rep.LeakedInstances)
+	}
+	rep, err = newClient(t, 17).RunOneTime(oneHour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Outcome.Completed || rep.LeakedRequests != nil || rep.LeakedInstances != nil {
+		t.Errorf("finished run: completed %v, leaked requests %v, instances %v",
+			rep.Outcome.Completed, rep.LeakedRequests, rep.LeakedInstances)
+	}
+}

@@ -33,9 +33,10 @@ type priceMonitor struct {
 }
 
 // monitorRebuildGap is the slot gap beyond which catching up by
-// per-slot pushes (an O(n) memmove each) loses to one bulk Fill
-// (copy + sort); both produce identical windows, so the threshold is
-// purely a performance knob.
+// per-slot pushes (an O(n) memmove each) loses to one bulk Fill (copy
+// plus a sort of the window's price runs, O(n + k log k) for k runs);
+// both produce identical windows, so the threshold is purely a
+// performance knob.
 const monitorRebuildGap = 256
 
 // monitorECDF serves the clean-path F_π estimate from the incremental

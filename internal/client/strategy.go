@@ -171,6 +171,8 @@ func (c *Client) runTranches(name string, spec job.Spec, d strategy.Decision, te
 		}
 		remaining -= exec
 		total = mergeOutcomes(total, sub.Outcome)
+		rep.LeakedRequests = append(rep.LeakedRequests, sub.LeakedRequests...)
+		rep.LeakedInstances = append(rep.LeakedInstances, sub.LeakedInstances...)
 		// The report carries the first spot tranche's bid; telemetry
 		// accumulates across tranches (each leg starts from the running
 		// total, so the last leg's copy is the sum).
@@ -262,6 +264,7 @@ func (c *Client) runAdaptive(name string, spec job.Spec, m core.Market, strat st
 		}
 		total = mergeOutcomes(total, out)
 		if !revised {
+			rep.noteUnreleased(tracker)
 			break
 		}
 		remaining = tracker.Remaining()

@@ -88,14 +88,17 @@ func (m *Mixture) Quantile(q float64) float64 {
 }
 
 // Sample implements Dist: pick a component by weight, then sample it.
-func (m *Mixture) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
+func (m *Mixture) Sample(r *rand.Rand) float64 { return m.comps[m.Pick(r.Float64())].Sample(r) }
+
+// Pick returns the index of the component a uniform u ∈ [0, 1) selects
+// by cumulative weight — the first of Sample's two steps.
+func (m *Mixture) Pick(u float64) int {
 	for i, c := range m.cum {
 		if u <= c {
-			return m.comps[i].Sample(r)
+			return i
 		}
 	}
-	return m.comps[len(m.comps)-1].Sample(r)
+	return len(m.cum) - 1
 }
 
 // Mean implements Dist.

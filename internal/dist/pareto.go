@@ -61,9 +61,13 @@ func (p Pareto) Quantile(q float64) float64 {
 }
 
 // Sample implements Dist (inverse-transform).
-func (p Pareto) Sample(r *rand.Rand) float64 {
-	return p.Xm / math.Pow(1-r.Float64(), 1/p.Alpha)
-}
+func (p Pareto) Sample(r *rand.Rand) float64 { return p.FromUniform(r.Float64()) }
+
+// FromUniform is the inverse-transform draw Sample makes from one
+// uniform u ∈ [0, 1): Λ_min/(1−u)^(1/α). Callers that must draw the
+// uniform now but may never need the value (trace generation under
+// price persistence) store u and pay the Pow only on demand.
+func (p Pareto) FromUniform(u float64) float64 { return p.Xm / math.Pow(1-u, 1/p.Alpha) }
 
 // Mean implements Dist. Infinite for α ≤ 1.
 func (p Pareto) Mean() float64 {

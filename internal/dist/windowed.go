@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -36,7 +38,8 @@ type WindowedECDF struct {
 	head     int       // ring index of the oldest sample
 	n        int       // live sample count, ≤ capacity
 
-	sorted []float64 // the n live samples, sorted ascending
+	sorted []float64  // the n live samples, sorted ascending
+	runs   []valueRun // Fill's pooled run buffer, see sortRuns
 
 	// Lazily rebuilt aggregates. Each family carries its own dirty
 	// flag (every mutation sets all three) so a quote path that only
@@ -123,9 +126,19 @@ func (w *WindowedECDF) Push(x float64) error {
 }
 
 // Fill replaces the window contents with the trailing min(len(xs), Cap)
-// values of xs in one bulk load (copy + one sort). It is the resync
-// path: initial warm-up, and recovery after a gap too large for
-// per-slot pushes to be worth their memmoves.
+// values of xs in one bulk load. It is the resync path: initial
+// warm-up, and recovery after a gap too large for per-slot pushes to be
+// worth their memmoves.
+//
+// A price trace holds each level for many slots (the generator's
+// geometric dwell, mean 18 slots), so the two-month window is ~1k runs
+// of bit-identical values rather than 17.5k independent samples. Fill
+// collapses adjacent repeats into (value, count) runs in one O(n) pass,
+// sorts the runs, and expands them: O(n + k log k) for k runs instead
+// of sort.Float64s' O(n log n). The result is element-identical to
+// sort.Float64s. Only ±0 compare equal without being bit-identical, so
+// a window holding both signs of zero, or one whose runs are not much
+// fewer than its samples (an i.i.d. trace), takes sort.Float64s.
 func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
@@ -141,10 +154,60 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 	w.n = copy(w.ring, xs)
 	w.head = 0
 	w.sorted = w.sorted[:w.n]
-	copy(w.sorted, xs)
-	sort.Float64s(w.sorted)
+	if !w.sortRuns(xs) {
+		copy(w.sorted, xs)
+		sort.Float64s(w.sorted)
+	}
 	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
 	return nil
+}
+
+// fillRunRatio is how much fewer runs than samples Fill needs before
+// sorting runs beats sorting samples.
+const fillRunRatio = 4
+
+// valueRun is a maximal stretch of bit-identical adjacent samples.
+type valueRun struct {
+	v float64
+	n int
+}
+
+// sortRuns writes xs sorted into w.sorted by sorting its runs, and
+// reports false, leaving w.sorted untouched, when xs has too many runs
+// or mixes −0 with +0.
+func (w *WindowedECDF) sortRuns(xs []float64) bool {
+	maxRuns := len(xs) / fillRunRatio
+	if cap(w.runs) < maxRuns {
+		w.runs = make([]valueRun, 0, w.capacity/fillRunRatio)
+	}
+	runs := w.runs[:0]
+	var negZero, posZero bool
+	for i, x := range xs {
+		if i > 0 && math.Float64bits(x) == math.Float64bits(xs[i-1]) {
+			runs[len(runs)-1].n++
+			continue
+		}
+		if len(runs) == maxRuns {
+			return false
+		}
+		if x == 0 {
+			negZero = negZero || math.Signbit(x)
+			posZero = posZero || !math.Signbit(x)
+		}
+		runs = append(runs, valueRun{v: x, n: 1})
+	}
+	if negZero && posZero {
+		return false
+	}
+	slices.SortFunc(runs, func(a, b valueRun) int { return cmp.Compare(a.v, b.v) })
+	out := w.sorted[:0]
+	for _, r := range runs {
+		for j := 0; j < r.n; j++ {
+			out = append(out, r.v)
+		}
+	}
+	w.runs = runs
+	return true
 }
 
 func (w *WindowedECDF) mustSample() {

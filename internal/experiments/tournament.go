@@ -152,6 +152,9 @@ func tournamentAudit(typ instances.Type, name string, rate float64, seed int64, 
 			Outcome:   rep.Outcome,
 			Escalated: rep.Telemetry.FellBackOnDemand,
 			FleetCost: member.Region.TotalCost(),
+			// A run the trace cut short holds its request to the end.
+			LeakedRequests:  rep.LeakedRequests,
+			LeakedInstances: rep.LeakedInstances,
 		},
 	}
 	res := &invariant.RunResult{

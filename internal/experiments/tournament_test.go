@@ -116,3 +116,24 @@ func TestTournamentPreservesExperimentBytes(t *testing.T) {
 		t.Error("flight recorder captured nothing")
 	}
 }
+
+// TestTournamentTraceEndLeaksExcused: at seeds 27 and 33 the
+// best-offline contender's fault-free audit run ends with its one-time
+// request still open (27) or its instance still running (33) because
+// the trace ran out first. The client reports those resources, so the
+// liveness audit excuses them instead of flagging a leak.
+func TestTournamentTraceEndLeaksExcused(t *testing.T) {
+	for _, seed := range []int64{27, 33} {
+		res, err := Tournament(Opts{Seed: seed, Runs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			for _, c := range row.Cells {
+				for _, v := range c.Violations {
+					t.Errorf("seed %d %s rate %.2f: %s", seed, row.Strategy, c.Rate, v)
+				}
+			}
+		}
+	}
+}

@@ -121,19 +121,26 @@ func CalibrationFor(t instances.Type) (Calibration, error) {
 // plateau+tail Pareto mixture, both components starting at
 // Λ_min = h⁻¹(π̲) so prices begin exactly at the floor.
 func (c Calibration) ArrivalDist() (dist.Dist, error) {
+	mix, _, err := c.arrivalMixture()
+	return mix, err
+}
+
+// arrivalMixture builds ArrivalDist's mixture and also hands back its
+// Pareto components in mixture order, for generation by Pick +
+// FromUniform.
+func (c Calibration) arrivalMixture() (*dist.Mixture, [2]dist.Pareto, error) {
+	var comps [2]dist.Pareto
 	lamMin, err := c.Provider.ParetoArrivalMin()
 	if err != nil {
-		return nil, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
+		return nil, comps, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
 	}
-	plateau, err := dist.NewPareto(c.PlateauAlpha, lamMin)
-	if err != nil {
-		return nil, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
+	for i, alpha := range [2]float64{c.PlateauAlpha, c.TailAlpha} {
+		if comps[i], err = dist.NewPareto(alpha, lamMin); err != nil {
+			return nil, comps, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
+		}
 	}
-	tail, err := dist.NewPareto(c.TailAlpha, lamMin)
-	if err != nil {
-		return nil, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
-	}
-	return dist.NewMixture([]dist.Dist{plateau, tail}, []float64{c.PlateauWeight, 1 - c.PlateauWeight})
+	mix, err := dist.NewMixture([]dist.Dist{comps[0], comps[1]}, []float64{c.PlateauWeight, 1 - c.PlateauWeight})
+	return mix, comps, err
 }
 
 // PriceDist returns the analytic equilibrium spot-price distribution
@@ -241,13 +248,13 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 		}
 	}
 
-	par, err := c.ArrivalDist()
+	mix, comps, err := c.arrivalMixture()
 	if err != nil {
 		return nil, err
 	}
-	var proc arrivals.Process = arrivals.NewIID(par)
+	var diurnal *arrivals.Diurnal
 	if opt.DiurnalAmplitude > 0 {
-		proc, err = arrivals.NewDiurnal(proc, opt.DiurnalAmplitude, int(grid.SlotsPerHour())*24)
+		diurnal, err = arrivals.NewDiurnal(arrivals.NewIID(mix), opt.DiurnalAmplitude, int(grid.SlotsPerHour())*24)
 		if err != nil {
 			return nil, err
 		}
@@ -257,6 +264,10 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 	var prices []float64
 	var switches int64
 	if opt.FullDynamics {
+		var proc arrivals.Process = arrivals.NewIID(mix)
+		if diurnal != nil {
+			proc = diurnal
+		}
 		sim := market.Simulator{Provider: c.Provider, Arrivals: proc, Warmup: 1000, Metrics: opt.Metrics}
 		res, err := sim.Run(n, r)
 		if err != nil {
@@ -264,26 +275,10 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 		}
 		prices = res.Prices
 	} else {
-		prices, err = market.EquilibriumPrices(c.Provider, proc, n, r)
-		if err != nil {
+		if err := c.Provider.Validate(); err != nil {
 			return nil, err
 		}
-		if dwell > 1 {
-			// Regime persistence: keep the previous level, switching
-			// to the next drawn level with probability 1/dwell. The
-			// drawn sequence is i.i.d. equilibrium, so the marginal
-			// is untouched; only the temporal grain changes.
-			switchP := 1 / float64(dwell)
-			cur := prices[0]
-			for i := 1; i < n; i++ {
-				if r.Float64() >= switchP {
-					prices[i] = cur
-				} else {
-					cur = prices[i]
-					switches++
-				}
-			}
-		}
+		prices, switches = c.dwellPrices(mix, comps, diurnal, n, dwell, r)
 	}
 	ent := memoEntry{prices: prices, switches: switches}
 	if cacheable {
@@ -291,6 +286,49 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 		memoStore(key, ent)
 	}
 	return c.emitGenerated(opt, grid, ent, dwell)
+}
+
+// dwellPrices generates the equilibrium-model series (Prop. 2) with
+// regime persistence: each slot keeps the previous level, switching to
+// a fresh i.i.d. equilibrium draw with probability 1/dwell. Dwell times
+// are independent of the levels, so the marginal is untouched; only
+// the temporal grain changes.
+//
+// The series is bit-identical to pricing every slot with
+// market.EquilibriumPrices and then overwriting the kept slots, but h(Λ)
+// — a Pow and the equilibrium inversion — is evaluated only at slot 0
+// and at each switch (~1 slot in 18 at the default dwell). That rests on
+// an RNG-order contract: first, for every slot, the two uniforms
+// Mixture.Sample would draw (component pick, then the Pareto uniform);
+// then the n−1 dwell draws. The uniforms are parked in prices and picks
+// until the dwell pass knows which slots it needs. With dwell 1 no
+// dwell draws are made and every slot is priced.
+func (c Calibration) dwellPrices(mix *dist.Mixture, comps [2]dist.Pareto, diurnal *arrivals.Diurnal, n, dwell int, r *rand.Rand) ([]float64, int64) {
+	prices := make([]float64, n)
+	picks := make([]uint8, n)
+	for i := range prices {
+		picks[i] = uint8(mix.Pick(r.Float64()))
+		prices[i] = r.Float64()
+	}
+	level := func(i int) float64 {
+		lam := comps[picks[i]].FromUniform(prices[i])
+		if diurnal != nil {
+			lam *= diurnal.Factor(i)
+		}
+		return c.Provider.H(lam)
+	}
+	switchP := 1 / float64(dwell)
+	var switches int64
+	cur := level(0)
+	prices[0] = cur
+	for i := 1; i < n; i++ {
+		if dwell == 1 || r.Float64() < switchP {
+			cur = level(i)
+			switches++
+		}
+		prices[i] = cur
+	}
+	return prices, switches
 }
 
 // emitGenerated performs the observable tail of a generation — the
