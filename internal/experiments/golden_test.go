@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,7 +17,9 @@ import (
 // The batched-core equivalence goldens: the rendered bytes of the
 // Table 3 and Figure 5/6 macros (plus Table 3's merged metrics
 // snapshot), captured from the legacy per-slot path before the
-// struct-of-arrays / pooled-quote refactor landed. The refactor's
+// struct-of-arrays / pooled-quote refactor landed, and the
+// full-precision Figure 3 fits and §5 forecast errors, captured before
+// the rolling-origin forecast pass and the parallel Figure 3 rows. The refactor's
 // contract is that the fast path changes no observable byte — these
 // tests pin it. Regenerate with
 //
@@ -96,11 +99,27 @@ func renderGoldens(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	out["figure6"] = []byte(f6.Render())
+
+	// Figure 3 and the §5 forecast check are pinned at full precision
+	// (%#v prints every float's shortest round-tripping form), not
+	// through Render, which rounds away a moved fit.
+	f3, err := Figure3(goldenOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["figure3"] = []byte(fmt.Sprintf("%#v\n", f3))
+
+	fc, err := ForecastEval(goldenOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["forecast"] = []byte(fmt.Sprintf("%#v\n", fc))
 	return out
 }
 
-// TestBatchedCoreGoldens pins the Table 3 / Figure 5–6 macros to the
-// legacy path's bytes at the default GOMAXPROCS.
+// TestBatchedCoreGoldens pins the Table 3 / Figure 5–6 macros, the
+// Figure 3 fits and the forecast errors to their golden bytes at the
+// default GOMAXPROCS.
 func TestBatchedCoreGoldens(t *testing.T) {
 	for name, got := range renderGoldens(t) {
 		checkGolden(t, name, got)
@@ -109,9 +128,10 @@ func TestBatchedCoreGoldens(t *testing.T) {
 
 // TestBatchedCoreGoldensProcMatrix re-runs the macro goldens — the
 // rendered reports, the merged metrics JSON, and the flight-recorder
-// JSONL — at GOMAXPROCS 1, 2, and NumCPU: worker-pool sizing and
-// shard boundaries both move with the proc count, so any leak of
-// scheduling into an observable byte fails here.
+// JSONL, the Figure 3 fits and the forecast errors — at GOMAXPROCS 1,
+// 2, and NumCPU: worker-pool sizing and shard boundaries both move
+// with the proc count, so any leak of scheduling into an observable
+// byte fails here.
 func TestBatchedCoreGoldensProcMatrix(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are written by TestBatchedCoreGoldens")
