@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Objective is a function to minimize over a parameter vector.
@@ -25,7 +24,8 @@ type NelderMeadOptions struct {
 // downhill-simplex method. It returns the best parameter vector and
 // its objective value. Parameter-space constraints are handled by the
 // objective returning +Inf outside the feasible region; the fitting
-// wrappers below do exactly that.
+// wrappers below do exactly that. f must not retain its argument:
+// trial points are built in reused buffers.
 //
 // A derivative-free method is the right tool here: the least-squares
 // divergence between a histogram and the model PDF (Fig. 3's fitting
@@ -68,28 +68,26 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, fl
 		sigma = 0.5 // shrink
 	)
 
+	// order sorts the vertices by value in place. Insertion sort is
+	// stable, so ties keep their vertex order.
 	order := func() {
-		idx := make([]int, n+1)
-		for i := range idx {
-			idx[i] = i
+		for i := 1; i <= n; i++ {
+			for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
+				simplex[j], simplex[j-1] = simplex[j-1], simplex[j]
+				vals[j], vals[j-1] = vals[j-1], vals[j]
+			}
 		}
-		sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-		ns := make([][]float64, n+1)
-		nv := make([]float64, n+1)
-		for i, j := range idx {
-			ns[i], nv[i] = simplex[j], vals[j]
-		}
-		copy(simplex, ns)
-		copy(vals, nv)
 	}
 
+	// Trial points are built in reusable buffers; an accepted trial
+	// swaps places with the worst vertex, whose storage becomes the
+	// buffer.
 	centroid := make([]float64, n)
-	point := func(base []float64, coef float64, dir []float64) []float64 {
-		out := make([]float64, n)
+	refl, exp, con := make([]float64, n), make([]float64, n), make([]float64, n)
+	point := func(out, base []float64, coef float64, dir []float64) {
 		for i := range out {
 			out[i] = base[i] + coef*(base[i]-dir[i])
 		}
-		return out
 	}
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
@@ -108,22 +106,22 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, fl
 		}
 		worst := simplex[n]
 
-		refl := point(centroid, alpha, worst)
+		point(refl, centroid, alpha, worst)
 		fr := f(refl)
 		switch {
 		case fr < vals[0]:
-			exp := point(centroid, gamma, worst)
+			point(exp, centroid, gamma, worst)
 			if fe := f(exp); fe < fr {
-				simplex[n], vals[n] = exp, fe
+				simplex[n], exp, vals[n] = exp, simplex[n], fe
 			} else {
-				simplex[n], vals[n] = refl, fr
+				simplex[n], refl, vals[n] = refl, simplex[n], fr
 			}
 		case fr < vals[n-1]:
-			simplex[n], vals[n] = refl, fr
+			simplex[n], refl, vals[n] = refl, simplex[n], fr
 		default:
-			con := point(centroid, -rho, worst)
+			point(con, centroid, -rho, worst)
 			if fc := f(con); fc < vals[n] {
-				simplex[n], vals[n] = con, fc
+				simplex[n], con, vals[n] = con, simplex[n], fc
 			} else {
 				// Shrink toward the best vertex.
 				for i := 1; i <= n; i++ {

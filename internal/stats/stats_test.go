@@ -272,6 +272,25 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 	}
 }
 
+// TestNelderMeadAllocsFlat: the simplex sorts in place and builds
+// trial points in reused buffers, so a longer search allocates no
+// more than a short one.
+func TestNelderMeadAllocsFlat(t *testing.T) {
+	f := func(p []float64) float64 {
+		a := 1 - p[0]
+		b := p[1] - p[0]*p[0]
+		return a*a + 100*b*b
+	}
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			NelderMead(f, []float64{-1.2, 1}, NelderMeadOptions{MaxIter: iters, Tol: 1e-300})
+		})
+	}
+	if short, long := allocs(10), allocs(400); long != short {
+		t.Errorf("allocs: %v at 10 iterations, %v at 400", short, long)
+	}
+}
+
 func TestNelderMeadConstrained(t *testing.T) {
 	// Infeasible region (p[0] < 0) returns +Inf; minimum at boundary 0.
 	f := func(p []float64) float64 {
