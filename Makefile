@@ -1,11 +1,11 @@
-# Standard checks. `make check` is the pre-merge gate: vet + the full
+# Standard checks. `make check` is the pre-merge gate: gofmt + vet + the full
 # test suite under the race detector (the chaos loop and the parallel
 # experiment harness must stay race-clean) + a shuffled-order pass
 # (no test may lean on package-level state left by an earlier test).
 
 GO ?= go
 
-.PHONY: all build test vet race race-obs shuffle no-wallclock check check-gates fuzz bench bench-json bench-core bench-lanes bench-serve perfgate resilcheck trace-demo serve-demo top-demo
+.PHONY: all build test fmt vet race race-obs shuffle no-wallclock check check-gates fuzz bench bench-json bench-core bench-lanes bench-serve perfgate resilcheck trace-demo serve-demo top-demo
 
 all: check
 
@@ -14,6 +14,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Every Go file is gofmt-clean; the gate lists any that are not.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -48,7 +52,7 @@ check:
 	@start=$$(date +%s); $(MAKE) --no-print-directory check-gates; status=$$?; \
 	echo "make check: $$(( $$(date +%s) - start ))s wall"; exit $$status
 
-check-gates: vet no-wallclock race-obs race shuffle perfgate resilcheck
+check-gates: fmt vet no-wallclock race-obs race shuffle perfgate resilcheck
 
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request

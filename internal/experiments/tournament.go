@@ -50,7 +50,7 @@ type TournamentCell struct {
 // the whole chaos grid.
 type TournamentRow struct {
 	// Rank is the 1-based league position.
-	Rank int
+	Rank     int
 	Strategy string
 	// Guarantees mirrors the registry's completion promise.
 	Guarantees bool
@@ -194,7 +194,10 @@ func auditViolations(name string, res *invariant.RunResult) []invariant.Violatio
 // The league table ranks strategies by savings × completion rate
 // against the flat on-demand bill.
 func Tournament(o Opts) (TournamentResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return TournamentResult{}, err
+	}
 	typ := instances.R3XLarge
 	names := strategy.Names()
 	spec := tournamentSpec(typ)
