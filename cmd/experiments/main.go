@@ -42,6 +42,12 @@ func main() {
 		scrapeEvery = flag.Int("scrape-every", 0, "tsdb scrape cadence in slots (0 = per-experiment default)")
 	)
 	flag.Parse()
+	if *runs < 1 {
+		usagef("-runs %d must be at least 1", *runs)
+	}
+	if *scrapeEvery < 0 {
+		usagef("-scrape-every %d must not be negative", *scrapeEvery)
+	}
 	opts := experiments.Opts{Seed: *seed, Runs: *runs, ScrapeEvery: *scrapeEvery}
 	if *metrics || *metricsJSON {
 		opts.Metrics = obs.New()
@@ -74,8 +80,7 @@ func main() {
 		for _, k := range strings.Split(*only, ",") {
 			k = strings.TrimSpace(k)
 			if !slices.Contains(sections, k) {
-				fmt.Fprintf(os.Stderr, "experiments: unknown section %q in -only (valid: %s)\n", k, strings.Join(sections, ", "))
-				os.Exit(2)
+				usagef("unknown section %q in -only (valid: %s)", k, strings.Join(sections, ", "))
 			}
 			want[k] = true
 		}
@@ -253,4 +258,11 @@ func section(title string, run func() (interface{ Render() string }, error)) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports a bad flag value and exits with status 2, the
+// flag package's own status for usage errors.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -168,21 +168,35 @@ func TestExperimentsCLI(t *testing.T) {
 	if strings.Contains(out, "DIVERGED") {
 		t.Errorf("tournament replay diverged:\n%s", out)
 	}
-	// An unknown section is a usage error (exit 2) naming the valid
-	// sections, not a silent empty run.
-	cmd := exec.Command(bin, "-only", "tabel3")
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Errorf("-only tabel3: err = %v, want exit status 2", err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-only tabel3 printed to stdout:\n%s", stdout.String())
-	}
-	for _, want := range []string{`"tabel3"`, "table3", "fig5", "ablations"} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("-only tabel3 stderr missing %q in:\n%s", want, stderr.String())
+	// Bad flag values are usage errors (exit 2) with a message, not a
+	// silent empty run or a panic: an unknown section names the valid
+	// ones, and a run count below 1 once panicked in Figure 5.
+	for _, c := range []struct {
+		args  []string
+		wants []string
+	}{
+		{[]string{"-only", "tabel3"}, []string{`"tabel3"`, "table3", "fig5", "ablations"}},
+		{[]string{"-only", "fig5", "-runs", "-3"}, []string{"-runs -3"}},
+		{[]string{"-only", "fig5", "-runs", "0"}, []string{"-runs 0"}},
+		{[]string{"-only", "serve", "-scrape-every", "-1"}, []string{"-scrape-every -1"}},
+	} {
+		cmd := exec.Command(bin, c.args...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed to stdout:\n%s", c.args, stdout.String())
+		}
+		for _, want := range c.wants {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("%v stderr missing %q in:\n%s", c.args, want, stderr.String())
+			}
+		}
+		if strings.Contains(stderr.String(), "panic") {
+			t.Errorf("%v panicked:\n%s", c.args, stderr.String())
 		}
 	}
 }

@@ -41,7 +41,10 @@ type BetaSweepResult struct{ Rows []BetaRow }
 // more weight on utilization (higher β) lowers the spot price and
 // accepts more bids.
 func AblationBeta(o Opts) (BetaSweepResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return BetaSweepResult{}, err
+	}
 	cal, err := trace.CalibrationFor(instances.R3XLarge)
 	if err != nil {
 		return BetaSweepResult{}, err
@@ -112,7 +115,10 @@ type RecoverySweepResult struct{ Rows []RecoveryRow }
 // boundary: bids rise with t_r, and beyond t_k the feasibility
 // constraint forces high-acceptance bids.
 func AblationRecovery(o Opts) (RecoverySweepResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return RecoverySweepResult{}, err
+	}
 	cal, err := trace.CalibrationFor(instances.R3XLarge)
 	if err != nil {
 		return RecoverySweepResult{}, err
@@ -182,7 +188,10 @@ type DwellSweepResult struct{ Rows []DwellRow }
 // (dwell 1) the Prop. 4 bid fails a 1-hour job roughly two times in
 // three.
 func AblationDwell(o Opts) (DwellSweepResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return DwellSweepResult{}, err
+	}
 	var res DwellSweepResult
 	for _, dwell := range []int{1, 3, 9, 18, 36} {
 		row := DwellRow{DwellSlots: dwell, Runs: o.Runs}
@@ -274,7 +283,10 @@ type WorkersSweepResult struct{ Rows []WorkersRow }
 // while the §6.1 crossover conditions flip from false to true at
 // small M.
 func AblationWorkers(o Opts) (WorkersSweepResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return WorkersSweepResult{}, err
+	}
 	cal, err := trace.CalibrationFor(instances.C34XL)
 	if err != nil {
 		return WorkersSweepResult{}, err
@@ -344,7 +356,10 @@ type CollectiveResult struct {
 // mass point — the assumption that one user's bid does not move the
 // price breaks down.
 func AblationCollective(o Opts) (CollectiveResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return CollectiveResult{}, err
+	}
 	cal, err := trace.CalibrationFor(instances.R3XLarge)
 	if err != nil {
 		return CollectiveResult{}, err

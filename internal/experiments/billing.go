@@ -32,7 +32,10 @@ type BillingResult struct{ Rows []BillingRow }
 // The refund rule can only lower spot bills, so hourly/per-slot ≤ 1
 // for spot strategies (exactly 1 on interruption-free whole hours).
 func AblationBilling(o Opts) (BillingResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return BillingResult{}, err
+	}
 	var res BillingResult
 	for _, strategy := range []string{"one-time", "persistent-30", "on-demand"} {
 		var perSlot, hourly float64

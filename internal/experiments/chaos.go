@@ -97,7 +97,10 @@ func chaosRun(typ instances.Type, strategy string, rate float64, seed int64, off
 // degrade versus the fault-free baseline for each strategy — the
 // robustness question the paper could not ask of real EC2.
 func ChaosSweep(o Opts) (ChaosResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return ChaosResult{}, err
+	}
 	typ := instances.R3XLarge
 
 	// Flatten the rate×strategy grid so every (cell, run) pair shares
@@ -143,7 +146,7 @@ func ChaosSweep(o Opts) (ChaosResult, error) {
 	if o.Trace != nil {
 		traced = func(int) bool { return true }
 	}
-	err := forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
+	err = forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
 		cell := cells[ci]
 		seed := o.Seed + int64(cell.si)*2003 + int64(run)*7919
 		var met *obs.Registry

@@ -66,7 +66,12 @@ type Opts struct {
 	ScrapeEvery int
 }
 
-func (o Opts) withDefaults() Opts {
+// withDefaults fills in the zero fields. A negative run count or
+// trace length is an error: there is no default to fall back on.
+func (o Opts) withDefaults() (Opts, error) {
+	if o.Runs < 0 || o.Days < 0 {
+		return o, fmt.Errorf("experiments: Runs %d and Days %d must not be negative", o.Runs, o.Days)
+	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -79,7 +84,7 @@ func (o Opts) withDefaults() Opts {
 	if o.ScrapeEvery <= 0 {
 		o.ScrapeEvery = 144
 	}
-	return o
+	return o, nil
 }
 
 // historySlots is the two-month price-monitor window in slots.

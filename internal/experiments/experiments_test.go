@@ -39,6 +39,38 @@ func TestOffsetsDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestNegativeOptsRejected: a negative run count or trace length is
+// an error from every experiment, never a panic deeper in.
+func TestNegativeOptsRejected(t *testing.T) {
+	run := map[string]func(Opts) error{
+		"Figure3":            func(o Opts) error { _, err := Figure3(o); return err },
+		"Table3":             func(o Opts) error { _, err := Table3(o); return err },
+		"Figure4":            func(o Opts) error { _, err := Figure4(o); return err },
+		"Figure5":            func(o Opts) error { _, err := Figure5(o); return err },
+		"Figure6":            func(o Opts) error { _, err := Figure6(o); return err },
+		"MapReduceEval":      func(o Opts) error { _, _, err := MapReduceEval(o); return err },
+		"Stability":          func(o Opts) error { _, err := Stability(o); return err },
+		"ForecastEval":       func(o Opts) error { _, err := ForecastEval(o); return err },
+		"ChaosSweep":         func(o Opts) error { _, err := ChaosSweep(o); return err },
+		"Tournament":         func(o Opts) error { _, err := Tournament(o); return err },
+		"FailoverSweep":      func(o Opts) error { _, err := FailoverSweep(o); return err },
+		"ServeDrillRun":      func(o Opts) error { _, err := ServeDrillRun(o); return err },
+		"AblationBeta":       func(o Opts) error { _, err := AblationBeta(o); return err },
+		"AblationRecovery":   func(o Opts) error { _, err := AblationRecovery(o); return err },
+		"AblationDwell":      func(o Opts) error { _, err := AblationDwell(o); return err },
+		"AblationWorkers":    func(o Opts) error { _, err := AblationWorkers(o); return err },
+		"AblationCollective": func(o Opts) error { _, err := AblationCollective(o); return err },
+		"AblationBilling":    func(o Opts) error { _, err := AblationBilling(o); return err },
+	}
+	for name, f := range run {
+		for _, o := range []Opts{{Runs: -3}, {Days: -1}} {
+			if err := f(o); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+				t.Errorf("%s(%+v): err = %v, want a negative-value error", name, o, err)
+			}
+		}
+	}
+}
+
 func TestFigure3(t *testing.T) {
 	res, err := Figure3(fastOpts)
 	if err != nil {

@@ -167,7 +167,10 @@ func failoverRun(n int, rate float64, seed int64, offset, days int, met *obs.Reg
 // under a forced home-region outage a ≥2-region fleet completes every
 // job on spot capacity, strictly cheaper than all-on-demand.
 func FailoverSweep(o Opts) (FailoverResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return FailoverResult{}, err
+	}
 	// Flatten the rate×fleet-size grid into one pool of (cell, run)
 	// pairs; run 0 of each cell feeds the shared flight recorder,
 	// serialized in cell order by the scheduler (see Opts.Trace).
@@ -200,7 +203,7 @@ func FailoverSweep(o Opts) (FailoverResult, error) {
 		// serialized in cell order to stay deterministic.
 		traced = func(int) bool { return true }
 	}
-	err := forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
+	err = forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
 		cell := cells[ci]
 		seed := o.Seed + int64(cell.ni)*2003 + int64(run)*7919
 		met := obs.New()

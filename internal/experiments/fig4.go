@@ -55,7 +55,10 @@ type Fig4Result struct {
 // with t_r = 30s on a persistent request, showing interruptions and
 // resumptions against the price series.
 func Figure4(o Opts) (Fig4Result, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return Fig4Result{}, err
+	}
 	// Hunt for a seed offset whose trace interrupts the job at least
 	// once — Fig. 4 shows two interruptions; an uneventful window
 	// would be an empty figure.

@@ -87,7 +87,10 @@ type Fig5Result struct{ Rows []Fig5Row }
 // Figure5 reruns the §7.1 one-time experiments: ten one-hour jobs per
 // type at random times of day, billed on the simulated cloud.
 func Figure5(o Opts) (Fig5Result, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return Fig5Result{}, err
+	}
 	types := instances.Table3Types()
 	// Repetitions are independent (private regions); every (type, run)
 	// pair goes through one shared worker pool, with aggregation in
@@ -101,7 +104,7 @@ func Figure5(o Opts) (Fig5Result, error) {
 		results[ti] = make([]runResult, o.Runs)
 		cellOffs[ti] = offsets(o.Runs, o.Seed+int64(ti))
 	}
-	err := forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
+	err = forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
 		typ := types[ti]
 		seed := o.Seed + int64(ti)*1013 + int64(run)*7919
 		rep, err := singleRun(typ, "one-time", seed, cellOffs[ti][run], o.Days)
@@ -209,7 +212,10 @@ var fig6Strategies = []string{"persistent-10", "persistent-30", "percentile-90"}
 // type and strategy, paired runs on identical traces, reporting the
 // percentage differences of Fig. 6(a–c).
 func Figure6(o Opts) (Fig6Result, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return Fig6Result{}, err
+	}
 	types := instances.Table3Types()
 	type pair struct {
 		base citizenReport
@@ -221,7 +227,7 @@ func Figure6(o Opts) (Fig6Result, error) {
 		pairs[ti] = make([]pair, o.Runs)
 		cellOffs[ti] = offsets(o.Runs, o.Seed+int64(ti))
 	}
-	err := forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
+	err = forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
 		typ := types[ti]
 		seed := o.Seed + int64(ti)*1013 + int64(run)*7919
 		base, err := singleRun(typ, "one-time", seed, cellOffs[ti][run], o.Days)

@@ -94,7 +94,10 @@ type Fig7Result struct{ Rows []Fig7Row }
 // MapReduceEval runs the five §7.2 client settings Runs times each and
 // produces both Table 4 and Figure 7.
 func MapReduceEval(o Opts) (Table4Result, Fig7Result, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return Table4Result{}, Fig7Result{}, err
+	}
 	settings := Table4Settings()
 	type mrRun struct {
 		rep client.MapReduceReport
@@ -110,7 +113,7 @@ func MapReduceEval(o Opts) (Table4Result, Fig7Result, error) {
 	// Both arms of each repetition run on private regions: every
 	// (setting, run) pair schedules freely through one shared pool,
 	// deterministic by seed; aggregation follows in setting order.
-	err := forEachCellRun(len(settings), o.Runs, nil, func(si, run int) error {
+	err = forEachCellRun(len(settings), o.Runs, nil, func(si, run int) error {
 		setting := settings[si]
 		seed := o.Seed + int64(si)*2003 + int64(run)*7919
 		spec, err := mrSpec(setting, seed)

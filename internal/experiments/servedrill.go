@@ -82,7 +82,10 @@ func serveDrillInjector() (*chaos.ServeInjector, error) {
 // ServeDrillRun executes the drill and its replay and verifies the
 // invariants.
 func ServeDrillRun(o Opts) (ServeDrillResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return ServeDrillResult{}, err
+	}
 	run := func(metered bool) (*serve.DrillResult, error) {
 		inj, err := serveDrillInjector()
 		if err != nil {

@@ -47,7 +47,10 @@ type StabilityResult struct {
 // Stability simulates the full queue dynamics (Fig. 2) per type and
 // checks the boundedness and equilibrium claims of §4.2.
 func Stability(o Opts) (StabilityResult, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return StabilityResult{}, err
+	}
 	const slots = 20000
 	res := StabilityResult{Slots: slots}
 	for i, typ := range instances.Figure3Types() {

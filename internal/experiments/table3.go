@@ -38,7 +38,10 @@ type Table3Result struct {
 // Table3 computes the optimal bid prices of Table 3 from two-month
 // synthetic histories for the five experiment types.
 func Table3(o Opts) (Table3Result, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return Table3Result{}, err
+	}
 	res := Table3Result{Exec: 1}
 	for i, typ := range instances.Table3Types() {
 		// DwellSlots 1: the table's bids depend only on the price
