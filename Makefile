@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet race race-obs shuffle no-wallclock check check-gates fuzz bench bench-json bench-core bench-lanes bench-serve perfgate resilcheck trace-demo serve-demo top-demo
+.PHONY: all build test fmt vet race race-obs shuffle no-wallclock perfbench check check-gates fuzz bench bench-json bench-core bench-serve perfgate resilcheck trace-demo serve-demo top-demo
 
 all: check
 
@@ -52,7 +52,13 @@ check:
 	@start=$$(date +%s); $(MAKE) --no-print-directory check-gates; status=$$?; \
 	echo "make check: $$(( $$(date +%s) - start ))s wall"; exit $$status
 
-check-gates: fmt vet no-wallclock race-obs race shuffle perfgate resilcheck
+check-gates: fmt vet no-wallclock perfbench race-obs race shuffle perfgate resilcheck
+
+# perfbench/ is its own module (replace repro => ../), so the root
+# build and test never compile it; vet and test it here so a change to
+# an internal package cannot break the benchmark unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request
@@ -97,14 +103,6 @@ bench-serve:
 # refreshed BENCH_core.json after an intentional perf change.
 bench-core:
 	$(GO) run ./cmd/corebench -out BENCH_core.json
-
-# Struct-of-arrays fleet engine benchmarks (in-package: SoA run vs the
-# array-of-structs reference twin, allocs reported). The committed
-# fleet-scale numbers live in BENCH_core.json (lanes.fleet_tick and
-# the lanes.fleet pair) and are enforced by `make check` through
-# perfgate's ratio + min-speedup gates.
-bench-lanes:
-	$(GO) test -bench 'BenchmarkFleet' -benchmem ./internal/lanes/
 
 # Ratio-based perf regression gate against the committed
 # BENCH_core.json plus the 0-alloc serving gate against

@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	spotbid "repro"
+	"repro/internal/cloud"
 	"repro/internal/experiments"
+	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -268,9 +270,9 @@ func BenchmarkWordCountRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = spotbid.RunMapReduce(region, corpus, spotbid.MRConfig{
-			Master:       spotbid.MRNodeSpec{Type: spotbid.R3XLarge, Bid: 0.06, Kind: spotbid.OneTime},
-			Slave:        spotbid.MRNodeSpec{Type: spotbid.C34XL, Bid: 0.09, Kind: spotbid.Persistent},
+		_, err = mapreduce.Run(region, corpus, mapreduce.Config{
+			Master:       mapreduce.NodeSpec{Type: spotbid.R3XLarge, Bid: 0.06, Kind: cloud.OneTime},
+			Slave:        mapreduce.NodeSpec{Type: spotbid.C34XL, Bid: 0.09, Kind: spotbid.Persistent},
 			Workers:      4,
 			Recovery:     spotbid.Seconds(30),
 			Overhead:     spotbid.Seconds(60),

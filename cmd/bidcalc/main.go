@@ -39,6 +39,9 @@ func main() {
 		missProb    = flag.Float64("missprob", 0.05, "acceptable deadline-miss probability with -deadline")
 	)
 	flag.Parse()
+	if !(*missProb > 0 && *missProb < 1) {
+		usagef("-missprob %g must lie in (0, 1)", *missProb)
+	}
 
 	tr := loadHistory(*historyPath, *typ, *seed)
 	spec, err := instances.Lookup(tr.Type)
@@ -168,4 +171,11 @@ func planMapReduce(slaveMarket core.Market, tr *trace.Trace, job core.Job, maste
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "bidcalc: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports a bad flag value and exits with status 2, the
+// flag package's own status for usage errors.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "bidcalc: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -8,22 +8,20 @@
 //
 // Singles report the current implementation's ns/op and allocs/op for
 // the core operations: the region tick, the client's per-slot market
-// evaluation, the Prop. 5 persistent bid, the end-to-end Table 3
-// macro run, and the struct-of-arrays fleet batch tick (10⁴ lanes
-// over the full two-month trace). Pairs compare the legacy
-// implementation (rebuild / cache off / array-of-structs) against the
-// shipped one (incremental / cache on / SoA) as the median of per-rep
-// paired differences, obsbench-style: each rep runs both sides back
-// to back in alternating order so machine drift cancels.
+// evaluation, the Prop. 5 persistent bid, and the end-to-end Table 3
+// macro run. Pairs compare the legacy implementation (rebuild / cache
+// off) against the shipped one (incremental / cache on) as the median
+// of per-rep paired differences, obsbench-style: each rep runs both
+// sides back to back in alternating order so machine drift cancels.
 //
 // The gate is ratio-based and therefore machine-independent: the
 // committed report's optimized/baseline ratios are the contract, and
 // -gate fails when a fresh measurement's ratio is more than -tolerance
-// worse, when the market.slot_ecdf (lanes.fleet) speedup drops below
-// -min-speedup (-min-lanes-speedup), or when client.market exceeds
-// the -max-market-allocs / -max-market-bytes ceilings — the live
-// quote window must keep the per-slot market fetch allocation-free up
-// to the region tick's own bookkeeping.
+// worse, when the market.slot_ecdf speedup drops below -min-speedup,
+// or when client.market exceeds the -max-market-allocs /
+// -max-market-bytes ceilings — the live quote window must keep the
+// per-slot market fetch allocation-free up to the region tick's own
+// bookkeeping.
 //
 // Usage:
 //
@@ -45,7 +43,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/instances"
-	"repro/internal/lanes"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
@@ -91,10 +88,6 @@ type Report struct {
 }
 
 var reps = flag.Int("reps", 5, "repetitions per benchmark side (median paired delta wins)")
-
-// fleetLanes sizes the lanes.fleet_tick single; -quick shrinks it so
-// the CI gate stays fast while the committed record is fleet-scale.
-var fleetLanes = 10_000
 
 // resetShared restores every piece of package-level state a benchmark
 // can observe — today that is the trace memo — to one canonical
@@ -374,79 +367,6 @@ func table3Single(b *testing.B) {
 	}
 }
 
-// fleetConfig sizes the struct-of-arrays fleet benchmarks: the
-// paper's two-month horizon (61 days = 17 568 slots), two markets, a
-// 240-hour live quote window, daily quote epochs, and an execution
-// time long enough that persistent lanes stay busy to the end of the
-// trace — so the number measures sustained lane-slot throughput, not
-// early completions.
-func fleetConfig(lanesN int) lanes.Config {
-	return lanes.Config{
-		Types:      []instances.Type{instances.R3XLarge, instances.C34XL},
-		Lanes:      lanesN,
-		Days:       61,
-		Seed:       1,
-		Exec:       timeslot.Hours(200),
-		Recovery:   timeslot.Hours(1),
-		Window:     timeslot.Hours(240),
-		QuoteEvery: 288,
-	}
-}
-
-// benchFleetTick: the batch engine end to end at fleet scale —
-// market build (shared live-window quote grid) plus the sharded
-// lane-major run over every lane × slot.
-func benchFleetTick(b *testing.B) {
-	cfg := fleetConfig(fleetLanes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := lanes.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// fleetPairLanes sizes the lanes.fleet pair: small enough that the
-// legacy side finishes in a sane benchtime, large enough that both
-// sides spend their time in the simulation.
-const fleetPairLanes = 256
-
-// fleetBaseline is the legacy per-client machinery: one region
-// carrying every request/instance object, a full tracker sweep per
-// slot, one O(n log n) ECDF snapshot per lane quote.
-func fleetBaseline(b *testing.B) {
-	cfg := fleetConfig(fleetPairLanes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lanes.RunReference(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// fleetOptimized is the shipped struct-of-arrays engine at the same
-// scale; TestReferenceEquivalence pins the two sides byte-identical.
-func fleetOptimized(b *testing.B) {
-	cfg := fleetConfig(fleetPairLanes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := lanes.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func measure() Report {
 	return Report{
 		Singles: []Result{
@@ -454,11 +374,9 @@ func measure() Report {
 			single("client.market", benchMarket),
 			single("core.persistent_bid", benchPersistentBid),
 			single("experiments.table3", table3Single),
-			single("lanes.fleet_tick", benchFleetTick),
 		},
 		Pairs: []Pair{
 			pair("market.slot_ecdf", slotECDFBaseline, slotECDFOptimized),
-			pair("lanes.fleet", fleetBaseline, fleetOptimized),
 			func() Pair {
 				p := pair("experiments.table3", table3Baseline, table3Optimized)
 				p.Macro = true
@@ -484,7 +402,6 @@ func main() {
 	gate := flag.String("gate", "", "committed BENCH_core.json to gate against (ratio regression check)")
 	tolerance := flag.Float64("tolerance", 0.10, "gate: allowed relative worsening of a pair's optimized/baseline ratio")
 	minSpeedup := flag.Float64("min-speedup", 2.0, "fail if market.slot_ecdf speedup drops below this factor")
-	minLanesSpeedup := flag.Float64("min-lanes-speedup", 2.0, "fail if the lanes.fleet speedup drops below this factor")
 	maxMarketAllocs := flag.Int64("max-market-allocs", -1, "fail if client.market allocs/op exceeds this ceiling (-1 = off)")
 	maxMarketBytes := flag.Int64("max-market-bytes", -1, "fail if client.market bytes/op exceeds this ceiling (-1 = off)")
 	testing.Init()
@@ -496,9 +413,6 @@ func main() {
 		if *reps == 5 {
 			*reps = 3
 		}
-		// The committed record is fleet-scale; the CI re-measure only
-		// needs enough lanes for a stable ratio.
-		fleetLanes = 2000
 	}
 	rep := measure()
 
@@ -514,10 +428,6 @@ func main() {
 	}
 	if p, ok := findPair(rep, "market.slot_ecdf"); ok && p.SpeedupX < *minSpeedup {
 		fmt.Printf("FAIL: market.slot_ecdf speedup %.2fx is below the %.1fx bar\n", p.SpeedupX, *minSpeedup)
-		failed = true
-	}
-	if p, ok := findPair(rep, "lanes.fleet"); ok && p.SpeedupX < *minLanesSpeedup {
-		fmt.Printf("FAIL: lanes.fleet speedup %.2fx is below the %.1fx bar\n", p.SpeedupX, *minLanesSpeedup)
 		failed = true
 	}
 	for _, s := range rep.Singles {

@@ -45,6 +45,9 @@ func main() {
 		verbose = flag.Bool("v", false, "list every non-clean schedule on stderr")
 	)
 	flag.Parse()
+	if *regions < 1 {
+		usagef("-regions %d must be at least 1", *regions)
+	}
 
 	grid := invariant.DefaultGrid()
 	grid.Seed = *seed
@@ -100,4 +103,11 @@ func main() {
 	if *verbose {
 		fmt.Fprintln(os.Stderr, "all invariants held on every schedule")
 	}
+}
+
+// usagef reports a bad flag value and exits with status 2, the
+// flag package's own status for usage errors.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "resilcheck: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -38,6 +38,9 @@ func main() {
 		traceFormat = flag.String("trace-format", "jsonl", "event-trace format: jsonl, chrome, or timeline")
 	)
 	flag.Parse()
+	if *days < 1 {
+		usagef("-days %d must be at least 1", *days)
+	}
 
 	if *list {
 		fmt.Println("type          vCPU  mem(GiB)  SSD      on-demand($/h)")
@@ -115,4 +118,11 @@ func printSummary(tr *trace.Trace) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "spotsim: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports a bad flag value and exits with status 2, the
+// flag package's own status for usage errors.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "spotsim: "+format+"\n", args...)
+	os.Exit(2)
 }

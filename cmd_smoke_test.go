@@ -1,10 +1,12 @@
 package spotbid_test
 
-// End-to-end smoke tests for the command-line tools: each binary is
-// compiled and run with light parameters, and its output checked for
-// the markers a user relies on. The heavy lifting inside each command
-// is covered by the package tests; these catch flag-plumbing and
-// output-format regressions.
+// End-to-end smoke tests for the command-line tools and the runnable
+// examples: each binary is compiled and run with light parameters, and
+// its output checked for the markers a user relies on. The heavy
+// lifting inside each command is covered by the package tests; these
+// catch flag-plumbing and output-format regressions, and the examples
+// run here are the tests of the spotbid facade they are written
+// against.
 
 import (
 	"bufio"
@@ -168,36 +170,90 @@ func TestExperimentsCLI(t *testing.T) {
 	if strings.Contains(out, "DIVERGED") {
 		t.Errorf("tournament replay diverged:\n%s", out)
 	}
-	// Bad flag values are usage errors (exit 2) with a message, not a
-	// silent empty run or a panic: an unknown section names the valid
-	// ones, and a run count below 1 once panicked in Figure 5.
+}
+
+// TestCLIUsageErrors: bad flag values are usage errors (exit 2) with
+// a message on stderr and nothing on stdout, not a silent run on a
+// default, a result line or a panic. An unknown experiments section
+// names the valid ones; a run count below 1 once panicked in Figure 5;
+// spotsim -days 0 once printed a 61-day trace, resilcheck -regions 0
+// once ran a 2-region fleet, and bidcalc -missprob 2 once reported
+// the bad flag as an infeasible bid.
+func TestCLIUsageErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	bins := map[string]string{}
 	for _, c := range []struct {
+		cmd   string
 		args  []string
 		wants []string
 	}{
-		{[]string{"-only", "tabel3"}, []string{`"tabel3"`, "table3", "fig5", "ablations"}},
-		{[]string{"-only", "fig5", "-runs", "-3"}, []string{"-runs -3"}},
-		{[]string{"-only", "fig5", "-runs", "0"}, []string{"-runs 0"}},
-		{[]string{"-only", "serve", "-scrape-every", "-1"}, []string{"-scrape-every -1"}},
+		{"experiments", []string{"-only", "tabel3"}, []string{`"tabel3"`, "table3", "fig5", "ablations"}},
+		{"experiments", []string{"-only", "fig5", "-runs", "-3"}, []string{"-runs -3"}},
+		{"experiments", []string{"-only", "fig5", "-runs", "0"}, []string{"-runs 0"}},
+		{"experiments", []string{"-only", "serve", "-scrape-every", "-1"}, []string{"-scrape-every -1"}},
+		{"spotsim", []string{"-days", "0", "-summary"}, []string{"-days 0"}},
+		{"spotsim", []string{"-days", "-1", "-summary"}, []string{"-days -1"}},
+		{"resilcheck", []string{"-regions", "0"}, []string{"-regions 0"}},
+		{"resilcheck", []string{"-regions", "-3"}, []string{"-regions -3"}},
+		{"bidcalc", []string{"-deadline", "2h", "-missprob", "2"}, []string{"-missprob 2"}},
+		{"bidcalc", []string{"-missprob", "0"}, []string{"-missprob 0"}},
 	} {
+		bin, ok := bins[c.cmd]
+		if !ok {
+			bin = buildCmd(t, c.cmd)
+			bins[c.cmd] = bin
+		}
 		cmd := exec.Command(bin, c.args...)
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
+			t.Errorf("%s %v: err = %v, want exit status 2", c.cmd, c.args, err)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("%v printed to stdout:\n%s", c.args, stdout.String())
+			t.Errorf("%s %v printed to stdout:\n%s", c.cmd, c.args, stdout.String())
 		}
 		for _, want := range c.wants {
 			if !strings.Contains(stderr.String(), want) {
-				t.Errorf("%v stderr missing %q in:\n%s", c.args, want, stderr.String())
+				t.Errorf("%s %v stderr missing %q in:\n%s", c.cmd, c.args, want, stderr.String())
 			}
 		}
 		if strings.Contains(stderr.String(), "panic") {
-			t.Errorf("%v panicked:\n%s", c.args, stderr.String())
+			t.Errorf("%s %v panicked:\n%s", c.cmd, c.args, stderr.String())
 		}
+	}
+}
+
+// TestExamples builds and runs every program under examples/ with its
+// default flags: each must exit 0 and print something. The examples
+// are the whole reason the spotbid facade exists, so this is the test
+// that a facade change kept them working.
+func TestExamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	// One go build for all of them: it loads the packages once and
+	// links the binaries in parallel.
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./examples/...")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building examples: %v\n%s", err, out)
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		t.Run(e.Name(), func(t *testing.T) {
+			if out := runCmd(t, filepath.Join(dir, e.Name())); strings.TrimSpace(out) == "" {
+				t.Errorf("examples/%s printed nothing", e.Name())
+			}
+		})
 	}
 }
 

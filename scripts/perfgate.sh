@@ -4,8 +4,8 @@
 # BENCH_core.json record. The ratios are dimensionless, so a record
 # measured on one machine constrains runs on any other; a pair whose
 # ratio worsens by more than the corebench default tolerance (10%) —
-# or a market.slot_ecdf / lanes.fleet speedup below the 2x acceptance
-# bar — fails the build. The client.market alloc ceilings ride on the
+# or a market.slot_ecdf speedup below the 2x acceptance bar — fails
+# the build. The client.market alloc ceilings ride on the
 # same run: the live quote window serves the per-slot market fetch in
 # ≤ 8 allocs and ≤ 4 KiB per op (measured: 2 allocs, ~260 B — the tick
 # and history-view bookkeeping), where the legacy snapshot path burned

@@ -6,6 +6,12 @@ import (
 	"testing"
 
 	spotbid "repro"
+	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/mapreduce"
+	"repro/internal/market"
+	"repro/internal/trace"
 )
 
 // TestFacadeEndToEnd drives the whole public surface the way the
@@ -26,7 +32,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := history.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := spotbid.ReadTraceCSV(&buf)
+	back, err := trace.ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +65,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("savings %v / %v below the paper's headline", oneTime.Savings(), persistent.Savings())
 	}
 
-	deadline, err := m.DeadlineBid(spotbid.DeadlineJob{
+	deadline, err := m.DeadlineBid(core.DeadlineJob{
 		Job:      spotbid.Job{Exec: 1, Recovery: spotbid.Seconds(30)},
 		Deadline: 2,
 		MissProb: 0.05,
@@ -126,9 +132,9 @@ func TestFacadeWordCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := spotbid.RunMapReduce(region, corpus, spotbid.MRConfig{
-		Master:       spotbid.MRNodeSpec{Type: spotbid.R3XLarge, Bid: 0.3, Kind: spotbid.OneTime},
-		Slave:        spotbid.MRNodeSpec{Type: spotbid.C34XL, Bid: 0.4, Kind: spotbid.Persistent},
+	res, err := mapreduce.Run(region, corpus, mapreduce.Config{
+		Master:       mapreduce.NodeSpec{Type: spotbid.R3XLarge, Bid: 0.3, Kind: cloud.OneTime},
+		Slave:        mapreduce.NodeSpec{Type: spotbid.C34XL, Bid: 0.4, Kind: spotbid.Persistent},
 		Workers:      4,
 		Recovery:     spotbid.Seconds(30),
 		WordsPerHour: 10000,
@@ -157,49 +163,15 @@ func TestFacadeProviderModel(t *testing.T) {
 	if got := p.OptimalPrice(50); got <= p.PMin || got >= p.POnDemand/2 {
 		t.Errorf("optimal price %v out of the theoretical band", got)
 	}
-	arrival, err := spotbid.NewPareto(5, 0.03)
+	arrival, err := dist.NewPareto(5, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := spotbid.NewEquilibriumPriceDist(p, arrival)
+	eq, err := market.NewEquilibriumPriceDist(p, arrival)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsNaN(eq.Mean()) {
 		t.Error("equilibrium mean NaN")
-	}
-}
-
-// TestFacadeLanes drives the struct-of-arrays lane engine through the
-// facade: a small fleet, run to the end of the trace, cross-checked
-// against the legacy-machinery reference replay.
-func TestFacadeLanes(t *testing.T) {
-	cfg := spotbid.LanesConfig{
-		Types:      []spotbid.InstanceType{spotbid.R3XLarge},
-		Lanes:      16,
-		Days:       3,
-		Seed:       5,
-		Exec:       10,
-		Recovery:   spotbid.Seconds(30),
-		Window:     24,
-		QuoteEvery: 48,
-	}
-	e, err := spotbid.NewLanes(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total.Lanes != cfg.Lanes {
-		t.Fatalf("report covers %d lanes, want %d", rep.Total.Lanes, cfg.Lanes)
-	}
-	ref, err := spotbid.RunLanesReference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Render() != rep.Render() {
-		t.Fatalf("lane engine and reference replay disagree:\n%s\nvs\n%s", rep.Render(), ref.Render())
 	}
 }
