@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,6 +37,29 @@ func TestForEachRunStopsFeedingAfterError(t *testing.T) {
 	// far smaller than 1000 the tail must stay unscheduled.
 	if n := started.Load(); n >= runs {
 		t.Fatalf("all %d repetitions started despite an early error", n)
+	}
+}
+
+// TestForEachRunOneWorkerStopsAfterError pins the single-worker edge of
+// the stop-after-first-error contract: the worker records the error
+// and sets the stop flag before it takes the next repetition, so at
+// GOMAXPROCS=1 exactly one repetition runs.
+func TestForEachRunOneWorkerStopsAfterError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	boom := errors.New("boom")
+	var ran atomic.Int32
+	err := forEachRun(100, func(run int) error {
+		ran.Add(1)
+		if run == 0 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("%d repetitions ran at one worker, want 1", n)
 	}
 }
 
